@@ -4,21 +4,21 @@
 CARGO := cargo
 OFFLINE := --offline
 
-.PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf chaos soak vopr vopr-nightly bench clippy clean
+.PHONY: check test lint lint-accept miri tsan perf ingest-perf diagnose-perf fleet-perf soak vopr vopr-nightly bench clippy clean
 
-# The full gate: release build, tests, workspace clippy with warnings
-# denied, the static-analysis pass, sanitizer runs (skipped gracefully
-# where the toolchain component is absent), the chaos fault-injection
-# suite, then all three throughput harnesses (each compares against its
-# previous BENCH_*.json and warns on >20% drops).
+# The full gate: release build, every test in the workspace, workspace
+# clippy with warnings denied, the static-analysis pass, sanitizer runs
+# (skipped gracefully where the toolchain component is absent), the
+# release soak, the four throughput harnesses (each compares against its
+# previous BENCH_*.json and warns on >20% drops), then the VOPR
+# fault-injection run.
 check:
 	$(CARGO) build --release $(OFFLINE)
-	$(CARGO) test -q $(OFFLINE)
+	$(CARGO) test -q $(OFFLINE) --workspace
 	$(CARGO) clippy $(OFFLINE) --workspace -- -D warnings
 	$(MAKE) lint
 	$(MAKE) miri
 	$(MAKE) tsan
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin chaos
 	$(MAKE) soak
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin perf
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin ingest_perf
@@ -98,13 +98,6 @@ diagnose-perf:
 # enough hardware threads).
 fleet-perf:
 	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin fleet_perf
-
-# Seeded fault-injection suite against the streaming ingestor: clean
-# transports must stay bit-identical to the one-shot analysis, hostile
-# ones (drops, duplicates, reordering, corruption, rank deaths) must
-# keep the window cover and the coverage accounting sound.
-chaos:
-	$(CARGO) run --release $(OFFLINE) -p vapro-bench --bin chaos
 
 # VOPR deterministic simulation run (PR profile, canaries compiled):
 # gates on >=80% fault-point coverage, every required invariant

@@ -573,9 +573,9 @@ impl IngestArena {
     /// Absorb one decoded batch, *moving* its fragments into the pools.
     ///
     /// Group label ids are re-checked against the batch's own label
-    /// table: the binary decoder validates them (`check_label`), but the
-    /// JSON fallback deserialises `FragmentBatch` structurally, so an
-    /// out-of-range id can arrive here. Such groups are dropped — a
+    /// table: the binary decoder validates them (`check_label`), but a
+    /// batch built in memory or deserialised via serde is unchecked, so
+    /// an out-of-range id can arrive here. Such groups are dropped — a
     /// malformed monitoring batch must never panic the ingest plane.
     pub fn push_batch(&mut self, batch: FragmentBatch) {
         let FragmentBatch { labels, vertex_groups, edge_groups, .. } = batch;
@@ -2175,10 +2175,14 @@ mod tests {
             reports.iter().any(|r| r.window.start.ns() >= 3 * period_ns),
             "no window past the death closed mid-stream"
         );
-        // The revived rank's late frame is dropped and accounted.
-        ingestor
-            .push_encoded(&late_frame.unwrap())
-            .expect("late frames are a policy drop, not an error");
+        // The revived rank's late frame is dropped and accounted. The push
+        // may still surface reports the pipelined stage finished since
+        // the previous push, so they are kept.
+        reports.extend(
+            ingestor
+                .push_encoded(&late_frame.unwrap())
+                .expect("late frames are a policy drop, not an error"),
+        );
         assert_eq!(ingestor.stats().dropped_late_frames, 1);
 
         reports.extend(ingestor.finish());

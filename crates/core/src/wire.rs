@@ -16,8 +16,8 @@
 //!   are written as contiguous columns (ranks, kinds, starts, ends,
 //!   counter sets, counter values, argument vectors), which is both
 //!   several times smaller and several times faster to decode than JSON.
-//! * [`FragmentBatch::to_json_bytes`] — a JSON fallback kept for
-//!   debugging; it serialises the same structure via serde.
+//! * [`FragmentBatch::to_json_bytes`] — serde JSON of the same structure,
+//!   kept only as the size baseline; admission never decodes JSON.
 //!
 //! ```text
 //! frame   := payload_len:u32 payload
@@ -948,15 +948,10 @@ impl FragmentBatch {
         })
     }
 
-    /// Serialise to JSON (the debugging fallback; the §6.2 storage-rate
+    /// Serialise to JSON (the size baseline only; the §6.2 storage-rate
     /// numbers account the binary encoding).
     pub fn to_json_bytes(&self) -> Vec<u8> {
         serde_json::to_vec(self).expect("serialisable batch")
-    }
-
-    /// Parse the JSON fallback.
-    pub fn from_json_bytes(bytes: &[u8]) -> Result<FragmentBatch, serde_json::Error> {
-        serde_json::from_slice(bytes)
     }
 }
 
@@ -1145,7 +1140,7 @@ mod tests {
     #[test]
     fn json_fallback_roundtrip_is_lossless() {
         let batch = FragmentBatch::from_stg(&sample_stg(1), 1, full_window());
-        let back = FragmentBatch::from_json_bytes(&batch.to_json_bytes()).unwrap();
+        let back: FragmentBatch = serde_json::from_slice(&batch.to_json_bytes()).unwrap();
         assert_eq!(batch, back);
     }
 

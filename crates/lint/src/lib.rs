@@ -92,7 +92,7 @@ pub struct EntryLine {
 ///   be panic-free across their whole reachable call trees. The walk
 ///   stops at the sealed-data frontier (`analyze_view_columnar`,
 ///   `refill_from_merged`): past admission, data is validated and the
-///   analysis tree is covered dynamically by chaos/VOPR/soak instead.
+///   analysis tree is covered dynamically by VOPR/soak instead.
 /// * R6 extends R1/R4 along the steady-state window-close tree rooted
 ///   at `close_ready`; files already under per-body R1/R4 budgets are
 ///   skipped so one allocation never needs two waivers.
@@ -113,7 +113,6 @@ pub fn workspace_config() -> LintConfig {
         "decode_payload",
         "decode_stream",
         "kind_from_byte",
-        "from_json_bytes",
     ];
     let server_fns = ["push_encoded", "admit", "is_duplicate", "gaps", "count_decode_error"];
     let fleet_fns = [

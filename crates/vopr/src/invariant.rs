@@ -22,6 +22,9 @@ pub const REQUIRED_INVARIANTS: &[&str] = &[
     "backpressure_bound",
     "birth_equivalence",
     "tenant_isolation",
+    "coverage_sanity",
+    "arena_high_water",
+    "dead_rank_visible",
 ];
 
 /// One observed violation, with everything needed to reproduce it.

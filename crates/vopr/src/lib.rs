@@ -5,8 +5,11 @@
 //!
 //! One seeded event loop drives ranks, the wire codec, the
 //! `WindowedIngestor`/`AnalysisStage` pipeline, and the `FleetIngestor`
-//! through a single interleaved fault schedule (reusing the chaos
-//! harness's [`TransportEvent`] model). Three registries make a run
+//! through a single interleaved fault schedule, materialised from the
+//! [`FaultPlan`]/[`TransportEvent`] model in `vapro_bench::chaos`. This
+//! crate is the only code that pushes a solo plan through an ingestor:
+//! the seeded scenarios and the plan proptests (`tests/plans.rs`, via
+//! [`check_solo_plan`]) share one driver. Three registries make a run
 //! auditable instead of merely green:
 //!
 //! * **Fault points** — every server-side rejection/recovery site
@@ -45,16 +48,16 @@ use report::{CanaryOutcome, VoprReport};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard};
 use vapro_bench::chaos::{
-    birth_equivalence, fleet_job_events, fleet_period_ns, one_shot_reference, plan_config,
-    plan_events, plan_period_ns, plan_summary, reports_identical, FaultPlan, FleetPlan, JobPlan,
-    TransportEvent,
+    fleet_job_events, fleet_period_ns, one_shot_reference, plan_config, plan_events,
+    plan_period_ns, plan_summary, report_pair_identical, reports_identical, FaultPlan, FleetPlan,
+    FrameMeta, JobPlan, TransportEvent,
 };
 use vapro_bench::perf::synthetic_stgs;
 use vapro_core::detect::window::{windows_covering, Window};
 use vapro_core::vopr::{canary, fault_points};
 use vapro_core::{
-    FleetConfig, FleetIngestor, FragmentBatch, IngestStats, VaproConfig, WindowReport,
-    WindowedIngestor, WireError,
+    FleetConfig, FleetIngestor, FragmentBatch, IngestStats, VaproConfig, WindowCoverage,
+    WindowReport, WindowedIngestor, WireError,
 };
 use vapro_sim::VirtualTime;
 
@@ -135,93 +138,120 @@ impl Cx<'_> {
     }
 }
 
-/// An extra delivery injected by a scenario around the plan's schedule
-/// (hostile structural garbage, zombie late data).
-struct Extra {
-    bytes: Vec<u8>,
-    delivery: Delivery,
-}
-
 /// What one driven run produced.
 struct Drive {
     reports: Vec<WindowReport>,
     delivered: u64,
     stats: IngestStats,
-    /// Per-outcome tallies as observed (post-agreement they equal the
-    /// oracle's predictions).
-    dropped_late: u64,
-    dropped_backpressure: u64,
+    /// Arena `(resident, high water)` bytes when the stream ended,
+    /// before the final `finish`: the watermark-eviction steady state.
+    arena_bytes: (u64, u64),
     /// The run aborted on a model disagreement (canary behaviour);
     /// end-of-stream checks were skipped.
     poisoned: bool,
 }
 
+/// The oracle's view of one delivery: transport metadata only.
+fn delivery(f: &FrameMeta) -> Delivery {
+    Delivery {
+        rank: f.rank,
+        seq: f.seq,
+        window_start_ns: f.window_start_ns,
+        window_end_ns: f.window_end_ns,
+        frame_bytes: f.bytes.len() as u64,
+        corrupted: f.corrupted,
+        malformed: f.malformed,
+    }
+}
+
+/// The `-v` line of one delivery: its span plus the fault tags the
+/// transport applied — the seed-repro view of the schedule.
+fn transport_line(label: &str, f: &FrameMeta) -> String {
+    let mut tags = String::new();
+    if f.corrupted {
+        tags.push_str(" [corrupt]");
+    }
+    if f.retransmit {
+        tags.push_str(" [dup]");
+    }
+    if f.delayed > 0 {
+        tags.push_str(&format!(" [delay={}]", f.delayed));
+    }
+    if f.reordered {
+        tags.push_str(" [reorder]");
+    }
+    if f.malformed {
+        tags.push_str(" [malformed]");
+    }
+    format!(
+        "{label} deliver rank={} period={} seq={} span=[{}..{}){tags}",
+        f.rank, f.period, f.seq, f.window_start_ns, f.window_end_ns
+    )
+}
+
 /// Drive one plan's schedule (plus scenario extras) through a
 /// `WindowedIngestor`, predicting every delivery with the admission
-/// oracle and checking the per-push invariants. The loop aborts on the
-/// first model disagreement: once the server has observably diverged
-/// from the specification (only canary mutations do), its subsequent
-/// state — possibly holding garbage data — is not worth simulating.
+/// oracle and checking the per-push invariants. Ingestor and oracle
+/// start with `initial` ranks; scheduled births of ranks already inside
+/// that membership are skipped (the birth-equivalence reference starts
+/// at `plan.total_ranks()`). The loop aborts on the first model
+/// disagreement: once the server has observably diverged from the
+/// specification (only canary mutations do), its subsequent state —
+/// possibly holding garbage data — is not worth simulating.
 fn drive_solo(
     cx: &mut Cx<'_>,
     label: &str,
     plan: &FaultPlan,
     pipeline_depth: usize,
-    extras_pre: &[Extra],
-    extras_post: &[Extra],
+    initial: usize,
+    extras_pre: &[FrameMeta],
+    extras_post: &[FrameMeta],
 ) -> Drive {
     let period_ns = plan_period_ns(plan);
     let mut cfg = VaproConfig { pipeline_depth, ..plan_config(period_ns) };
     cfg.fault.max_buffered_bytes = plan.max_buffered_bytes;
     let cap = cfg.fault.max_buffered_bytes;
 
-    let mut ing = WindowedIngestor::new(plan.nranks, 8, cfg.clone());
-    let mut oracle = AdmissionModel::new(plan.nranks, &cfg);
+    let mut ing = WindowedIngestor::new(initial, 8, cfg.clone());
+    let mut oracle = AdmissionModel::new(initial, &cfg);
     let (events, _) = plan_events(plan);
 
     let mut reports = Vec::new();
     let mut delivered = 0u64;
-    let (mut dropped_late, mut dropped_backpressure) = (0u64, 0u64);
     let mut prev_watermark = 0u64;
     let mut poisoned = false;
 
-    let frame_steps = extras_pre
+    let steps = extras_pre
         .iter()
-        .map(|e| (e.bytes.clone(), e.delivery))
-        .map(Some)
-        .map(|f| (f, None))
-        .chain(events.into_iter().map(|ev| match ev {
-            TransportEvent::Frame(f) => {
-                let d = Delivery {
-                    rank: f.rank,
-                    seq: f.seq,
-                    window_start_ns: f.window_start_ns,
-                    window_end_ns: f.window_end_ns,
-                    frame_bytes: f.bytes.len() as u64,
-                    corrupted: f.corrupted,
-                    malformed: f.malformed,
-                };
-                (Some((f.bytes, d)), None)
-            }
-            TransportEvent::Birth { rank } => (None, Some(rank)),
-        }))
-        .chain(extras_post.iter().map(|e| (Some((e.bytes.clone(), e.delivery)), None)));
+        .cloned()
+        .map(TransportEvent::Frame)
+        .chain(events)
+        .chain(extras_post.iter().cloned().map(TransportEvent::Frame));
 
-    for (frame, birth) in frame_steps {
-        if let Some(scheduled) = birth {
-            let got = ing.add_rank();
-            let predicted = oracle.record_birth();
-            cx.inv.check("birth_registration", got == scheduled && predicted == scheduled, || {
-                format!("birth assigned rank {got}, oracle {predicted}, schedule {scheduled}")
-            });
-            cx.note(format!("{label} birth rank={got}"));
-            continue;
-        }
-        let Some((bytes, d)) = frame else { continue };
+    for step in steps {
+        let f = match step {
+            TransportEvent::Birth { rank } if rank < initial => {
+                cx.note(format!("{label} birth rank={rank} (member from start)"));
+                continue;
+            }
+            TransportEvent::Birth { rank: scheduled } => {
+                let got = ing.add_rank();
+                let predicted = oracle.record_birth();
+                let agreed = got == scheduled && predicted == scheduled;
+                cx.inv.check("birth_registration", agreed, || {
+                    format!("birth assigned rank {got}, oracle {predicted}, schedule {scheduled}")
+                });
+                cx.note(format!("{label} birth rank={got}"));
+                continue;
+            }
+            TransportEvent::Frame(f) => f,
+        };
+        let d = delivery(&f);
+        cx.note_log_only(transport_line(label, &f));
         delivered += 1;
         let predicted = oracle.predict(&d);
         let before = ing.stats().clone();
-        let (actual, closed) = match ing.push_encoded(&bytes) {
+        let (actual, closed) = match ing.push_encoded(&f.bytes) {
             Ok(closed) => {
                 let after = ing.stats();
                 let outcome = if after.frames_admitted > before.frames_admitted {
@@ -240,11 +270,6 @@ fn drive_solo(
             Err(WireError::UnknownRank { .. }) => (Outcome::RejectedUnknownRank, Vec::new()),
             Err(_) => (Outcome::RejectedMalformed, Vec::new()),
         };
-        match actual {
-            Outcome::DroppedLate => dropped_late += 1,
-            Outcome::DroppedBackpressure => dropped_backpressure += 1,
-            _ => {}
-        }
         let watermark = ing.watermark_ns();
         cx.note(format!(
             "{label} frame rank={} seq={} -> {} wm={}",
@@ -316,18 +341,12 @@ fn drive_solo(
 
     let stats = ing.stats().clone();
     let max_seen_ns = ing.arena().max_end_ns();
+    let arena_bytes = (ing.arena().resident_bytes(), ing.arena().high_water_bytes());
     if poisoned {
         // Dropping the ingestor joins the analysis stage without
         // analysing the tail — the diverged server may hold garbage
         // (e.g. admitted corrupt fragments) that is unsafe to simulate.
-        return Drive {
-            reports,
-            delivered,
-            stats,
-            dropped_late,
-            dropped_backpressure,
-            poisoned,
-        };
+        return Drive { reports, delivered, stats, arena_bytes, poisoned };
     }
     reports.extend(ing.finish());
 
@@ -366,55 +385,236 @@ fn drive_solo(
     cx.inv.check("delivery_accounting", accounted == delivered, || {
         format!("{delivered} deliveries but {accounted} accounted: {stats}")
     });
+    cx.inv.check_result(
+        "coverage_sanity",
+        coverage_sanity(reports.iter().map(|r| &r.coverage), initial, plan.total_ranks()),
+    );
+    // A run that admitted anything must have registered an arena peak.
+    cx.inv.check("arena_high_water", stats.frames_admitted == 0 || arena_bytes.1 > 0, || {
+        format!("{} frames admitted but arena high water never moved", stats.frames_admitted)
+    });
 
-    Drive { reports, delivered, stats, dropped_late, dropped_backpressure, poisoned }
+    Drive { reports, delivered, stats, arena_bytes, poisoned }
 }
 
-/// A structurally broken (truncated) frame plus its oracle metadata.
-fn truncated_extra(period_ns: u64) -> Extra {
-    let bytes = template_frame_bytes(0, period_ns);
-    let cut = bytes.len() / 2;
-    Extra {
-        bytes: bytes.into_iter().take(cut).collect(),
-        delivery: Delivery {
-            rank: 0,
-            seq: 0,
-            window_start_ns: 0,
-            window_end_ns: period_ns,
-            frame_bytes: cut as u64,
-            corrupted: false,
-            malformed: true,
-        },
+/// Per-window coverage sanity over one drive's reports, in close order.
+/// The deployment width starts at `initial`, never exceeds `total`
+/// (initial plus born) and never shrinks; complete, absent and dead
+/// ranks stay inside the width; completeness is a fraction; and the
+/// cumulative corrupt, duplicate and late-drop counters never decrease.
+/// `seq_gaps` is exempt: it counts gaps *outstanding* at close time, and
+/// a reordered or delayed frame arriving later fills its gap.
+fn coverage_sanity<'a>(
+    coverage: impl IntoIterator<Item = &'a WindowCoverage>,
+    initial: usize,
+    total: usize,
+) -> Result<(), String> {
+    let mut prev_nranks = initial;
+    let mut prev_counters = (0u64, 0u64, 0u64);
+    for c in coverage {
+        if c.nranks < prev_nranks || c.nranks > total {
+            return Err(format!(
+                "coverage width {} after {} (bounds [{initial}, {total}])",
+                c.nranks, prev_nranks
+            ));
+        }
+        prev_nranks = c.nranks;
+        if c.ranks_complete > c.nranks {
+            return Err(format!("{} of {} ranks complete", c.ranks_complete, c.nranks));
+        }
+        if !(0.0..=1.0).contains(&c.completeness) {
+            return Err(format!("completeness {} out of range", c.completeness));
+        }
+        if c.ranks_absent.iter().chain(&c.ranks_dead).any(|&r| r >= c.nranks) {
+            return Err(format!("out-of-range rank in coverage {c:?}"));
+        }
+        let counters = (c.corrupt_frames, c.duplicate_frames, c.dropped_late_frames);
+        if counters.0 < prev_counters.0
+            || counters.1 < prev_counters.1
+            || counters.2 < prev_counters.2
+        {
+            return Err(format!(
+                "cumulative corrupt/duplicate/late counters went backwards: \
+                 {counters:?} after {prev_counters:?}"
+            ));
+        }
+        prev_counters = counters;
     }
+    Ok(())
 }
 
-/// A well-formed frame claiming a rank far outside the deployment.
-fn unknown_rank_extra(period_ns: u64) -> Extra {
-    let bytes = template_frame_bytes(250, period_ns);
-    let frame_bytes = bytes.len() as u64;
-    Extra {
+/// Pipelined and inline analysis of the same schedule must agree on the
+/// reports, the delivery accounting and the arena byte trajectory:
+/// sealing snapshots windows out of the arena, so reclamation is
+/// independent of where analysis runs.
+fn pipeline_inline_equivalence(piped: &Drive, inline: &Drive) -> Result<(), String> {
+    reports_identical(&piped.reports, &inline.reports)
+        .map_err(|e| format!("pipelined reports diverged from inline: {e}"))?;
+    if (piped.delivered, &piped.stats) != (inline.delivered, &inline.stats) {
+        return Err(format!(
+            "pipelined accounting ({} delivered: {}) diverged from inline ({} delivered: {})",
+            piped.delivered, piped.stats, inline.delivered, inline.stats
+        ));
+    }
+    if piped.arena_bytes != inline.arena_bytes {
+        return Err(format!(
+            "arena (resident, high water) bytes diverged: pipelined {:?} vs inline {:?}",
+            piped.arena_bytes, inline.arena_bytes
+        ));
+    }
+    Ok(())
+}
+
+/// Births must not perturb anything from their join point on: every
+/// window starting at or after the last birth is bit-identical —
+/// detection, diagnoses and coverage — to a from-start reference drive
+/// where the born ranks were members all along, shipping the same
+/// frames. Earlier windows may legitimately differ in deployment width
+/// (the elastic-membership contract), hence the birth-anchored
+/// comparison.
+fn births_match_from_start(
+    cx: &mut Cx<'_>,
+    plan: &FaultPlan,
+    born: &Drive,
+) -> Result<(), String> {
+    let total = plan.total_ranks();
+    let reference = drive_solo(cx, "from_start", plan, default_depth(), total, &[], &[]);
+    if reference.poisoned {
+        return Err("the from-start reference diverged from the admission oracle".to_string());
+    }
+    if born.reports.len() != reference.reports.len() {
+        return Err(format!(
+            "born run closed {} windows, from-start reference closed {}",
+            born.reports.len(),
+            reference.reports.len()
+        ));
+    }
+    let birth_ns = plan.births.iter().max().map_or(0, |&p| p as u64) * plan_period_ns(plan);
+    let mut compared = 0usize;
+    for (g, w) in born.reports.iter().zip(&reference.reports) {
+        if g.window.start.ns() < birth_ns {
+            continue;
+        }
+        compared += 1;
+        if g.coverage.nranks != total {
+            return Err(format!(
+                "post-birth window {:?} closed with width {} (expected {total})",
+                g.window, g.coverage.nranks
+            ));
+        }
+        report_pair_identical(g, w)
+            .map_err(|e| format!("born run diverged from the from-start reference: {e}"))?;
+    }
+    if compared == 0 {
+        return Err("no post-birth windows to compare; grow the plan's periods".to_string());
+    }
+    Ok(())
+}
+
+/// The solo check every plan gets: drive it pipelined and inline, hold
+/// the two to equivalence, and run the identity check that fits the
+/// plan — one-shot identity for a clean transport, birth equivalence
+/// when births (within the dead horizon) are its only fault. Returns
+/// the pipelined drive unless it was poisoned.
+fn solo_plan(cx: &mut Cx<'_>, plan: &FaultPlan, extras: &[FrameMeta]) -> Option<Drive> {
+    let piped =
+        drive_solo(cx, DEFAULT_DEPTH_LABEL, plan, default_depth(), plan.nranks, extras, &[]);
+    if piped.poisoned {
+        return None;
+    }
+    let inline = drive_solo(cx, "inline", plan, 0, plan.nranks, extras, &[]);
+    cx.inv.check_result(
+        "pipeline_inline_equivalence",
+        pipeline_inline_equivalence(&piped, &inline),
+    );
+    if !plan.births.is_empty() {
+        let width = piped.reports.last().map(|r| r.coverage.nranks);
+        cx.inv.check("birth_widening", width == Some(plan.total_ranks()), || {
+            format!("final window closed at width {width:?}, expected {}", plan.total_ranks())
+        });
+    }
+    // Births are membership changes, not transport faults.
+    let clean_transport =
+        extras.is_empty() && FaultPlan { births: Vec::new(), ..plan.clone() }.is_fault_free();
+    if !clean_transport {
+        return Some(piped);
+    }
+    cx.inv.check("clean_no_loss", piped.stats.frames_admitted == piped.delivered, || {
+        format!(
+            "clean plan lost frames: {} delivered, {} admitted",
+            piped.delivered, piped.stats.frames_admitted
+        )
+    });
+    if plan.births.is_empty() {
+        cx.inv.check_result(
+            "stream_one_shot_identity",
+            reports_identical(&piped.reports, &one_shot_reference(plan)),
+        );
+    } else if plan.births.iter().all(|&p| (1..=3).contains(&p)) {
+        // A from-start member silent past the dead horizon (4 periods)
+        // is latched dead, so the reference only exists for births
+        // inside it.
+        let verdict = births_match_from_start(cx, plan, &piped);
+        cx.inv.check_result("birth_equivalence", verdict);
+    }
+    Some(piped)
+}
+
+/// Check one solo plan exactly as the seeded scenarios do (see
+/// `solo_plan`): every per-push and end-of-stream invariant on the
+/// pipelined and inline drives, their equivalence, and the identity
+/// check that fits the plan. Returns the first violation, with the plan
+/// summary. Runs under the global run lock.
+pub fn check_solo_plan(plan: &FaultPlan) -> Result<(), String> {
+    with_run_lock(|| {
+        let mut tracker = InvariantTracker::new();
+        let mut journal = Journal::new();
+        tracker.enter("check_solo_plan", plan.seed);
+        let mut cx = Cx { seed: plan.seed, inv: &mut tracker, journal: &mut journal, log: None };
+        solo_plan(&mut cx, plan, &[]);
+        match tracker.violations().first() {
+            Some(v) => Err(format!("{v} ({})", plan_summary(plan))),
+            None => Ok(()),
+        }
+    })
+}
+
+/// An undamaged delivery of `bytes` for `rank`'s `period`-th span.
+fn clean_frame(bytes: Vec<u8>, rank: usize, period: usize, seq: u64, span: Window) -> FrameMeta {
+    FrameMeta {
         bytes,
-        delivery: Delivery {
-            rank: 250,
-            seq: 1,
-            window_start_ns: 0,
-            window_end_ns: period_ns,
-            frame_bytes,
-            corrupted: false,
-            malformed: false,
-        },
+        rank,
+        period,
+        seq,
+        window_start_ns: span.start.ns(),
+        window_end_ns: span.end.ns(),
+        corrupted: false,
+        retransmit: false,
+        delayed: 0,
+        reordered: false,
+        malformed: false,
     }
+}
+
+/// A structurally broken (truncated) frame.
+fn truncated_extra(period_ns: u64) -> FrameMeta {
+    let mut f = template_frame(0, period_ns);
+    f.bytes.truncate(f.bytes.len() / 2);
+    f.seq = 0;
+    f.malformed = true;
+    f
 }
 
 /// A valid encoded frame for `rank` covering the first period — the
 /// template the hostile extras mutate.
-fn template_frame_bytes(rank: usize, period_ns: u64) -> Vec<u8> {
+fn template_frame(rank: usize, period_ns: u64) -> FrameMeta {
     let stgs = synthetic_stgs(1, 40, 8, 0xE81A);
     let window = Window {
         start: VirtualTime::ZERO,
         end: VirtualTime::from_ns(period_ns),
     };
-    FragmentBatch::from_stg_starting_in(&stgs[0], rank, window).with_seq(1).encode()
+    let bytes = FragmentBatch::from_stg_starting_in(&stgs[0], rank, window).with_seq(1).encode();
+    clean_frame(bytes, rank, 0, 1, window)
 }
 
 // ---------------------------------------------------------------------
@@ -432,26 +632,7 @@ fn default_depth() -> usize {
 /// emits exactly what inline analysis does.
 fn clean_solo(cx: &mut Cx<'_>) {
     cx.inv.enter("clean_solo", cx.seed);
-    let plan = FaultPlan::fault_free(cx.seed);
-    let piped = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
-    if piped.poisoned {
-        return;
-    }
-    let inline = drive_solo(cx, "inline", &plan, 0, &[], &[]);
-    cx.inv.check_result(
-        "stream_one_shot_identity",
-        reports_identical(&piped.reports, &one_shot_reference(&plan)),
-    );
-    cx.inv.check_result(
-        "pipeline_inline_equivalence",
-        reports_identical(&piped.reports, &inline.reports),
-    );
-    cx.inv.check("clean_no_loss", piped.stats.frames_admitted == piped.delivered, || {
-        format!(
-            "clean plan lost frames: {} delivered, {} admitted",
-            piped.delivered, piped.stats.frames_admitted
-        )
-    });
+    solo_plan(cx, &FaultPlan::fault_free(cx.seed), &[]);
 }
 
 /// Hostile transport: every fault axis at once plus structurally broken
@@ -469,21 +650,16 @@ fn hostile_solo(cx: &mut Cx<'_>) {
         plan.deaths = vec![(0, 1)];
     }
     let period_ns = plan_period_ns(&plan);
-    let extras = [truncated_extra(period_ns), unknown_rank_extra(period_ns)];
-    let piped = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &extras, &[]);
-    if piped.poisoned {
-        return;
-    }
-    let inline = drive_solo(cx, "inline", &plan, 0, &extras, &[]);
-    cx.inv.check_result(
-        "pipeline_inline_equivalence",
-        reports_identical(&piped.reports, &inline.reports),
-    );
+    // A truncated frame, and a well-formed one claiming a rank far
+    // outside the deployment.
+    let extras = [truncated_extra(period_ns), template_frame(250, period_ns)];
+    solo_plan(cx, &plan, &extras);
 }
 
 /// Zombie rank: a rank dies mid-run, is latched dead, and then its
 /// stale frames arrive *after* the latch — they must be acknowledged
-/// but dropped, exactly as the oracle predicts.
+/// but dropped, exactly as the oracle predicts, and the dead rank must
+/// stay visible in the tail window's coverage.
 fn zombie_solo(cx: &mut Cx<'_>) {
     cx.inv.enter("zombie_solo", cx.seed);
     let dead_rank = 1usize;
@@ -492,7 +668,7 @@ fn zombie_solo(cx: &mut Cx<'_>) {
         FaultPlan { deaths: vec![(dead_rank, last_period)], ..FaultPlan::fault_free(cx.seed) };
     let period_ns = plan_period_ns(&plan);
     let stgs = synthetic_stgs(plan.nranks, plan.frags_per_rank, 8, plan.seed ^ 0xBAD_F00D);
-    let late: Vec<Extra> = (1..=2u64)
+    let late: Vec<FrameMeta> = (1..=2u64)
         .map(|i| {
             let k = last_period as u64 + i;
             let window = Window {
@@ -502,31 +678,29 @@ fn zombie_solo(cx: &mut Cx<'_>) {
             let bytes = FragmentBatch::from_stg_starting_in(&stgs[dead_rank], dead_rank, window)
                 .with_seq(k + 1)
                 .encode();
-            let frame_bytes = bytes.len() as u64;
-            Extra {
-                bytes,
-                delivery: Delivery {
-                    rank: dead_rank,
-                    seq: k + 1,
-                    window_start_ns: window.start.ns(),
-                    window_end_ns: window.end.ns(),
-                    frame_bytes,
-                    corrupted: false,
-                    malformed: false,
-                },
-            }
+            clean_frame(bytes, dead_rank, k as usize, k + 1, window)
         })
         .collect();
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &late);
+    let drive =
+        drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), plan.nranks, &[], &late);
     if drive.poisoned {
         return;
     }
-    cx.inv.check("late_data_dropped", drive.dropped_late >= late.len() as u64, || {
+    let dropped_late = drive.stats.dropped_late_frames;
+    cx.inv.check("late_data_dropped", dropped_late >= late.len() as u64, || {
         format!(
-            "{} late zombie frames delivered but only {} dropped under the late policy",
-            late.len(),
-            drive.dropped_late
+            "{} late zombie frames delivered but only {dropped_late} dropped under the late policy",
+            late.len()
         )
+    });
+    let tail = drive.reports.last().map(|r| &r.coverage);
+    let visible = tail.is_some_and(|c| {
+        c.ranks_dead.contains(&dead_rank)
+            && c.ranks_absent.contains(&dead_rank)
+            && c.completeness < 1.0
+    });
+    cx.inv.check("dead_rank_visible", visible, || {
+        format!("tail coverage {tail:?} hides dead rank {dead_rank}")
     });
 }
 
@@ -541,11 +715,12 @@ fn backpressure_solo(cx: &mut Cx<'_>) {
         max_buffered_bytes: Some(2_048),
         ..FaultPlan::fault_free(cx.seed)
     };
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
+    let drive =
+        drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), plan.nranks, &[], &[]);
     if drive.poisoned {
         return;
     }
-    cx.inv.check("backpressure_engaged", drive.dropped_backpressure > 0, || {
+    cx.inv.check("backpressure_engaged", drive.stats.dropped_backpressure_frames > 0, || {
         "the byte cap never shed a frame; shrink the cap or raise the delay axis".to_string()
     });
 }
@@ -556,23 +731,7 @@ fn backpressure_solo(cx: &mut Cx<'_>) {
 fn birth_solo(cx: &mut Cx<'_>) {
     cx.inv.enter("birth_solo", cx.seed);
     let first = 1 + (cx.seed % 3) as usize;
-    let plan = FaultPlan { births: vec![first], ..FaultPlan::fault_free(cx.seed) };
-    let drive = drive_solo(cx, DEFAULT_DEPTH_LABEL, &plan, default_depth(), &[], &[]);
-    if drive.poisoned {
-        return;
-    }
-    cx.inv.check_result("birth_equivalence", birth_equivalence(&plan));
-    let widened = drive
-        .reports
-        .last()
-        .is_some_and(|r| r.coverage.nranks == plan.total_ranks());
-    cx.inv.check("birth_widening", widened, || {
-        format!(
-            "final window closed at width {:?}, expected {}",
-            drive.reports.last().map(|r| r.coverage.nranks),
-            plan.total_ranks()
-        )
-    });
+    solo_plan(cx, &FaultPlan { births: vec![first], ..FaultPlan::fault_free(cx.seed) }, &[]);
 }
 
 /// Clean fleet: several tenants through the sharded plane, each job
@@ -935,5 +1094,55 @@ mod tests {
             report.coverage,
             report.fault_points
         );
+    }
+
+    /// The `-v` log (fault tags included) is a view of the run, not part
+    /// of it: asking for it must leave the journal untouched.
+    #[test]
+    fn verbose_log_leaves_the_journal_alone() {
+        let mut log = Vec::new();
+        let verbose = with_run_lock(|| run_suite(7, Some(&mut log)));
+        let quiet = with_run_lock(|| run_suite(7, None));
+        assert!(log.iter().any(|l| l.contains(" deliver ") && l.contains("[reorder]")));
+        assert_eq!(verbose.journal, quiet.journal);
+    }
+
+    /// Three full-width windows with rising cumulative counters: sane.
+    fn sane_sequence() -> Vec<WindowCoverage> {
+        (0..3u64)
+            .map(|i| WindowCoverage {
+                corrupt_frames: i,
+                duplicate_frames: i,
+                dropped_late_frames: i,
+                seq_gaps: 2,
+                ..WindowCoverage::full(3)
+            })
+            .collect()
+    }
+
+    fn sanity_after(mutate: impl FnOnce(&mut [WindowCoverage])) -> Result<(), String> {
+        let mut seq = sane_sequence();
+        mutate(&mut seq);
+        coverage_sanity(&seq, 3, 4)
+    }
+
+    #[test]
+    fn coverage_sanity_flags_each_broken_window() {
+        assert_eq!(coverage_sanity(&sane_sequence(), 3, 4), Ok(()));
+        let shrink = sanity_after(|s| s[1].nranks = 4); // 3 → 4 → 3
+        assert!(shrink.is_err_and(|e| e.contains("width 3 after 4")));
+        let counter = sanity_after(|s| s[2].corrupt_frames = 0);
+        assert!(counter.is_err_and(|e| e.contains("went backwards")));
+        let dead = sanity_after(|s| s[0].ranks_dead = vec![3]);
+        assert!(dead.is_err_and(|e| e.contains("out-of-range rank")));
+        let over = sanity_after(|s| s[1].completeness = 1.5);
+        assert!(over.is_err_and(|e| e.contains("completeness 1.5")));
+    }
+
+    /// A reordered frame can fill an outstanding gap, so `seq_gaps` may
+    /// fall between windows without breaking the invariant.
+    #[test]
+    fn coverage_sanity_lets_seq_gaps_fall() {
+        assert_eq!(sanity_after(|s| s[2].seq_gaps = 0), Ok(()));
     }
 }
